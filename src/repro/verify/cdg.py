@@ -25,6 +25,11 @@ built: escape-channel dependencies are chained across adaptive
 intermediate hops, which is exactly the indirect-dependency closure
 Duato's theorem requires to be acyclic.
 
+:func:`build_dependency_graph` is the one route walker behind every
+graph the verifier uses; a routing subfunction says which channels it
+chains (:class:`EscapeSubfunction` here, the union and subrelation
+candidates in :mod:`repro.verify.smt`).
+
 ``assume_classes=1`` deliberately analyses a torus while ignoring its
 dateline discipline -- the classic cyclic configuration -- which is how
 the tests (and CI) prove the analyzer actually finds cycles.
@@ -110,85 +115,103 @@ def _add_edge(edges: Edges, src: Channel | None, dst: Channel) -> None:
         edges.setdefault(src, set()).add(dst)
 
 
-def _walk_deterministic(
-    routing: RoutingFunction, src: int, dst: int, num_classes: int,
-    edges: Edges,
-) -> None:
-    """Add the dependency chain of the unique deterministic route."""
-    topology = routing.topology
-    node, bits = src, 0
-    prev: Channel | None = None
-    while node != dst:
-        port = topology.dor_port(node, dst)
-        chan = Channel(
-            node, port,
-            routing.hop_class(node, port, bits, num_classes=num_classes),
+class EscapeSubfunction:
+    """The designated escape discipline: dimension-order on escape VCs.
+
+    A routing *subfunction* tells the graph builder which channels a
+    header may wait on at each state: ``options(node, dst, bits)``
+    returns ``(port, vc_class)`` pairs.  ``free_hops`` says whether the
+    walk may also take the full relation's minimal adaptive hops between
+    subfunction channels (Duato's indirect dependencies).
+    """
+
+    name = "escape-dor"
+    free_hops = True
+
+    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
+        self.routing = routing
+        self.num_classes = num_classes
+
+    def options(
+        self, node: int, dst: int, bits: int
+    ) -> tuple[tuple[int, int], ...]:
+        port = self.routing.topology.dor_port(node, dst)
+        cls = self.routing.hop_class(
+            node, port, bits, num_classes=self.num_classes
         )
-        _add_edge(edges, prev, chan)
-        prev = chan
-        bits = routing.hop_bits(node, port, bits)
-        nxt = topology.neighbor(node, port)
-        assert nxt is not None
-        node = nxt
+        return ((port, cls),)
 
 
-def _walk_adaptive_escape(
-    routing: RoutingFunction, src: int, dst: int, num_classes: int,
-    edges: Edges,
-) -> None:
-    """Add *extended* escape-channel dependencies over all minimal routes.
+def build_dependency_graph(
+    routing: RoutingFunction, sub
+) -> tuple[Edges, bool]:
+    """The (extended) dependency graph of a subfunction, and connectivity.
 
-    A worm may take adaptive channels freely and fall through to the
-    escape (dimension-order) channel at any hop.  Because the worm's body
-    holds its whole path, a later escape channel depends on every earlier
-    one; chaining each escape use to the next along a route yields the
-    same transitive closure, so the DFS carries only the *last* escape
-    channel.  States are memoised on (node, dateline bits, last escape).
+    Walks the states ``(node, dateline bits, last held channel)`` of
+    every endpoint pair.  At each state every option of ``sub`` is
+    chained to the last held channel -- the worm's body holds its whole
+    path, so carrying only the last channel yields the same transitive
+    closure.  When the relation is adaptive and ``sub.free_hops`` allows
+    it, the header may also take any minimal adaptive hop with the chain
+    unchanged, which is the conservative superset of Duato's
+    indirect-dependency closure.  Only endpoint pairs route messages; on
+    topologies with dedicated switching elements (MINs) the switches
+    never source or sink worms.
+
+    The subfunction is connected iff every reachable state offers an
+    option and every option leads to a neighbour.
     """
     topology = routing.topology
-    seen: set[tuple[int, int, Channel | None]] = set()
-    stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
-    while stack:
-        node, bits, last = stack.pop()
-        if node == dst or (node, bits, last) in seen:
-            continue
-        seen.add((node, bits, last))
-        # Escape alternative: the dimension-order hop on the escape class.
-        esc_port = topology.dor_port(node, dst)
-        esc = Channel(
-            node, esc_port,
-            routing.hop_class(node, esc_port, bits, num_classes=num_classes),
-        )
-        _add_edge(edges, last, esc)
-        nxt = topology.neighbor(node, esc_port)
-        assert nxt is not None
-        stack.append((nxt, routing.hop_bits(node, esc_port, bits), esc))
-        # Adaptive alternatives: any minimal hop, escape chain unchanged.
-        for port in topology.minimal_ports(node, dst):
-            nbr = topology.neighbor(node, port)
-            if nbr is None:
+    free_hops = sub.free_hops and isinstance(routing, AdaptiveRouting)
+    edges: Edges = {}
+    connected = True
+    for src in topology.endpoints():
+        for dst in topology.endpoints():
+            if src == dst:
                 continue
-            stack.append((nbr, routing.hop_bits(node, port, bits), last))
+            seen: set[tuple[int, int, Channel | None]] = set()
+            stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
+            while stack:
+                state = stack.pop()
+                node, bits, last = state
+                if node == dst or state in seen:
+                    continue
+                seen.add(state)
+                options = sub.options(node, dst, bits)
+                connected = connected and bool(options)
+                for port, cls in options:
+                    chan = Channel(node, port, cls)
+                    _add_edge(edges, last, chan)
+                    nbr = topology.neighbor(node, port)
+                    if nbr is None:
+                        connected = False
+                        continue
+                    stack.append(
+                        (nbr, routing.hop_bits(node, port, bits), chan)
+                    )
+                if not free_hops:
+                    continue
+                for port in topology.minimal_ports(node, dst):
+                    nbr = topology.neighbor(node, port)
+                    if nbr is not None:
+                        stack.append(
+                            (nbr, routing.hop_bits(node, port, bits), last)
+                        )
+    return edges, connected
 
 
-def build_cdg(
-    topology: Topology,
-    routing,
-    *,
-    assume_classes: int | None = None,
-) -> Edges:
-    """Build the (extended) channel-dependency graph of a routing function.
+def class_count(routing: RoutingFunction, assume_classes: int | None) -> int:
+    """The VC-class count an analysis uses, validating any override.
 
-    ``assume_classes`` overrides the VC-class count used by the analysis
-    (e.g. ``1`` on a torus ignores the dateline discipline -- the
-    deliberately-cyclic configuration used to validate the analyzer).
+    ``assume_classes`` may only *reduce* the count (e.g. ``1`` on a torus
+    ignores the dateline discipline -- the deliberately-cyclic
+    configuration used to validate the analyzer).
     """
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    if num_classes < 1:
+    if assume_classes is None:
+        return routing.num_classes
+    if assume_classes < 1:
         raise ConfigError(f"assume_classes must be >= 1, got {assume_classes}")
-    if assume_classes is not None and assume_classes > routing.num_classes:
+    if assume_classes > routing.num_classes:
         # The class discipline is pinned by the topology: fullmesh and the
         # unidirectional MIN (and mesh/hypercube) define exactly one VC
         # class, a torus exactly two.  hop_class() can never emit a class
@@ -201,20 +224,22 @@ def build_cdg(
             "pins; only reducing the class count (e.g. 1 to ignore "
             "torus datelines) is a meaningful override"
         )
-    edges: Edges = {}
-    adaptive = isinstance(routing, AdaptiveRouting)
-    # Only endpoint pairs route messages; on topologies with dedicated
-    # switching elements (MINs) the switches never source or sink worms,
-    # and including them would add dependencies no run can create.
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            if adaptive:
-                _walk_adaptive_escape(routing, src, dst, num_classes, edges)
-            else:
-                _walk_deterministic(routing, src, dst, num_classes, edges)
-    return edges
+    return assume_classes
+
+
+def build_cdg(
+    topology: Topology,
+    routing,
+    *,
+    assume_classes: int | None = None,
+) -> Edges:
+    """Build the (extended) channel-dependency graph of a routing function.
+
+    The escape subfunction's graph: the plain CDG for deterministic
+    routing, the extended escape CDG for adaptive routing.
+    """
+    sub = EscapeSubfunction(routing, class_count(routing, assume_classes))
+    return build_dependency_graph(routing, sub)[0]
 
 
 def find_cycle(edges: Edges) -> list[Channel]:
@@ -377,9 +402,7 @@ def analyze_config(
     report = CDGReport(
         topology=repr(topology),
         routing=type(routing).__name__,
-        num_classes=(
-            routing.num_classes if assume_classes is None else assume_classes
-        ),
+        num_classes=class_count(routing, assume_classes),
         num_channels=len(edges),
         num_deps=sum(len(v) for v in edges.values()),
         cycle=find_cycle(edges),

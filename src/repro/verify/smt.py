@@ -37,13 +37,17 @@ verdict auditable:
   acyclicity.  Any hit proves deadlock freedom per Duato's theorem even
   though every single-graph cycle search says "cyclic".
 
-* **Certificates.**  Every verdict emits JSON: the analysed graph (with
-  a canonical hash so drift is detected), per-channel ranks for a FREE
-  verdict or the witnessing cycle for a refutation, the subfunction used
-  and the union-cycle evidence for adaptive configs.
+* **Certificates.**  Every verdict emits JSON: per-channel ranks for a
+  FREE verdict or the witnessing cycle for a refutation, the subfunction
+  whose graph they belong to, that graph's canonical hash (so drift is
+  detected) and the union-cycle evidence for adaptive configs.
   :func:`check_certificate` replays a certificate **without z3** -- rank
   replay is plain integer comparison edge by edge -- so a committed
   certificate is auditable on any machine.
+
+Every graph here -- union, escape, subrelation -- comes from the one
+walker :func:`repro.verify.cdg.build_dependency_graph`, driven by a
+routing subfunction.
 
 * **Fuzzer seeding.**  A rejected config is converted into seeded
   scenarios (:func:`rejection_jobspecs`) for the PR 5 fuzzer, closing
@@ -63,9 +67,10 @@ from repro.errors import ConfigError, ReproError
 from repro.topology.base import CartesianTopology, Topology
 from repro.verify.cdg import (
     Channel,
+    EscapeSubfunction,
     Edges,
-    _add_edge,
-    build_cdg,
+    build_dependency_graph,
+    class_count,
     config_topology,
     find_cycle,
 )
@@ -226,6 +231,31 @@ def adaptive_class(num_classes: int) -> int:
     return num_classes
 
 
+class UnionSubfunction(EscapeSubfunction):
+    """Every channel a blocked header may wait on, with no free hops.
+
+    Offers the escape channel plus, for adaptive routing, every minimal
+    port on the adaptive pseudo-class.  Walked without free hops, each
+    channel is chained to every channel usable one hop later: the direct
+    dependencies of the full relation.
+    """
+
+    name = "union"
+    free_hops = False
+
+    def options(
+        self, node: int, dst: int, bits: int
+    ) -> tuple[tuple[int, int], ...]:
+        options = super().options(node, dst, bits)
+        if not isinstance(self.routing, AdaptiveRouting):
+            return options
+        cls = adaptive_class(self.num_classes)
+        return options + tuple(
+            (port, cls)
+            for port in self.routing.topology.minimal_ports(node, dst)
+        )
+
+
 def build_union_cdg(
     routing: RoutingFunction, *, assume_classes: int | None = None
 ) -> Edges:
@@ -240,91 +270,11 @@ def build_union_cdg(
     exactly the over-approximation the escape/subrelation methods
     resolve.
     """
-    topology = routing.topology
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    if not isinstance(routing, AdaptiveRouting):
-        return build_cdg(topology, routing, assume_classes=assume_classes)
-    adapt_cls = adaptive_class(num_classes)
-    edges: Edges = {}
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            _union_walk(routing, src, dst, num_classes, adapt_cls, edges)
-    return edges
-
-
-def _state_options(
-    routing: RoutingFunction, node: int, dst: int, bits: int,
-    num_classes: int, adapt_cls: int,
-) -> list[tuple[int, int]]:
-    """All (port, class) channels a blocked header may wait on here."""
-    topology = routing.topology
-    esc_port = topology.dor_port(node, dst)
-    options = [(
-        esc_port,
-        routing.hop_class(node, esc_port, bits, num_classes=num_classes),
-    )]
-    for port in topology.minimal_ports(node, dst):
-        options.append((port, adapt_cls))
-    return options
-
-
-def _union_walk(
-    routing: RoutingFunction, src: int, dst: int,
-    num_classes: int, adapt_cls: int, edges: Edges,
-) -> None:
-    """Direct dependencies of one endpoint pair over all legal routes."""
-    topology = routing.topology
-    seen: set[tuple[int, int]] = set()
-    stack: list[tuple[int, int]] = [(src, 0)]
-    while stack:
-        node, bits = stack.pop()
-        if node == dst or (node, bits) in seen:
-            continue
-        seen.add((node, bits))
-        options = _state_options(
-            routing, node, dst, bits, num_classes, adapt_cls
-        )
-        for port, cls in options:
-            chan = Channel(node, port, cls)
-            _add_edge(edges, None, chan)
-            nbr = topology.neighbor(node, port)
-            assert nbr is not None
-            nbits = routing.hop_bits(node, port, bits)
-            stack.append((nbr, nbits))
-            if nbr == dst:
-                continue
-            # Direct dependency: arriving on `chan`, the header may wait
-            # on any channel usable at the next hop.
-            for nport, ncls in _state_options(
-                routing, nbr, dst, nbits, num_classes, adapt_cls
-            ):
-                _add_edge(edges, chan, Channel(nbr, nport, ncls))
+    sub = UnionSubfunction(routing, class_count(routing, assume_classes))
+    return build_dependency_graph(routing, sub)[0]
 
 
 # -- routing subfunctions (Duato's valid subrelations) --------------------
-
-
-class EscapeSubfunction:
-    """The designated escape discipline: dimension-order on escape VCs."""
-
-    name = "escape-dor"
-
-    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
-        self.routing = routing
-        self.num_classes = num_classes
-
-    def options(
-        self, node: int, dst: int, bits: int
-    ) -> tuple[tuple[int, int], ...]:
-        port = self.routing.topology.dor_port(node, dst)
-        cls = self.routing.hop_class(
-            node, port, bits, num_classes=self.num_classes
-        )
-        return ((port, cls),)
 
 
 class RingSplitSubfunction:
@@ -349,6 +299,7 @@ class RingSplitSubfunction:
     """
 
     name = "ring-split-dor"
+    free_hops = True
 
     def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
         topology = routing.topology
@@ -402,92 +353,16 @@ def candidate_subfunctions(
 def subfunction_by_name(
     name: str, routing: RoutingFunction, num_classes: int
 ):
-    for sub in candidate_subfunctions(routing, num_classes):
+    """A candidate subfunction, or the union, named by a certificate."""
+    for sub in (
+        *candidate_subfunctions(routing, num_classes),
+        UnionSubfunction(routing, num_classes),
+    ):
         if sub.name == name:
             return sub
     raise ConfigError(
         f"unknown subfunction {name!r} for {routing.topology!r}"
     )
-
-
-def subfunction_connected(routing: RoutingFunction, sub) -> bool:
-    """Every endpoint pair must be routable using the subfunction alone.
-
-    Walk each pair following only the subfunction's options; every state
-    it can reach must offer at least one option (no dead ends) and every
-    branch must terminate at the destination.
-    """
-    topology = routing.topology
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            seen: set[tuple[int, int]] = set()
-            stack = [(src, 0)]
-            while stack:
-                node, bits = stack.pop()
-                if node == dst or (node, bits) in seen:
-                    continue
-                seen.add((node, bits))
-                options = sub.options(node, dst, bits)
-                if not options:
-                    return False
-                for port, _cls in options:
-                    nbr = topology.neighbor(node, port)
-                    if nbr is None:
-                        return False
-                    stack.append((nbr, routing.hop_bits(node, port, bits)))
-    return True
-
-
-def build_extended_cdg(
-    routing: RoutingFunction, sub, *, assume_classes: int | None = None
-) -> Edges:
-    """Extended dependency graph of a subfunction w.r.t. the full relation.
-
-    Generalises the analyzer's escape walk: at every state the header may
-    take a subfunction channel (chaining it to the previously-held one --
-    the worm's body holds its whole path, so transitivity is carried by
-    the *last* subfunction channel) or, when the relation is adaptive,
-    any minimal adaptive hop with the chain unchanged.  This is the
-    conservative superset of Duato's indirect-dependency closure, so an
-    acyclic result is always sound.
-    """
-    topology = routing.topology
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    del num_classes  # classes are baked into the subfunction's options
-    adaptive = isinstance(routing, AdaptiveRouting)
-    edges: Edges = {}
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            seen: set[tuple[int, int, Channel | None]] = set()
-            stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
-            while stack:
-                node, bits, last = stack.pop()
-                if node == dst or (node, bits, last) in seen:
-                    continue
-                seen.add((node, bits, last))
-                for port, cls in sub.options(node, dst, bits):
-                    chan = Channel(node, port, cls)
-                    _add_edge(edges, last, chan)
-                    nbr = topology.neighbor(node, port)
-                    assert nbr is not None
-                    stack.append(
-                        (nbr, routing.hop_bits(node, port, bits), chan)
-                    )
-                if adaptive:
-                    for port in topology.minimal_ports(node, dst):
-                        nbr = topology.neighbor(node, port)
-                        if nbr is None:
-                            continue
-                        stack.append(
-                            (nbr, routing.hop_bits(node, port, bits), last)
-                        )
-    return edges
 
 
 # -- verdicts ------------------------------------------------------------
@@ -555,115 +430,99 @@ def verify_config(
     witnessing cycles are real graph cycles, but Duato's condition is
     existential so a subfunction outside the family could still exist.
     """
-    topology, routing = _routing_for(config)
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
+    _topology, routing = _routing_for(config)
+    num_classes = class_count(routing, assume_classes)
+    adaptive = isinstance(routing, AdaptiveRouting)
     base = {
         "format": CERT_FORMAT,
         "config": _cert_config(config),
         "assume_classes": assume_classes,
     }
-
-    if not isinstance(routing, AdaptiveRouting):
-        edges = build_cdg(topology, routing, assume_classes=assume_classes)
-        ranks, engine_used = solve_ranks(edges, engine)
-        fingerprint = graph_fingerprint(edges)
-        if ranks is not None:
-            cert = dict(
-                base, method="acyclicity", engine=engine_used,
-                deadlock_free=True, conclusive=True, graph=fingerprint,
-                ranks=_ranks_json(ranks),
-            )
-            return SmtReport(
-                config=config.describe(), engine=engine_used,
-                method="acyclicity", deadlock_free=True, conclusive=True,
-                detail=(
-                    f"rank model over {fingerprint['channels']} channels / "
-                    f"{fingerprint['deps']} dependencies (deterministic "
-                    "routing: exact)"
-                ),
-                certificate=cert,
-            )
-        cycle = find_cycle(edges)
-        cert = dict(
-            base, method="refuted", engine=engine_used,
-            deadlock_free=False, conclusive=True, graph=fingerprint,
-            cycle=_cycle_json(cycle),
+    union_cycle: list[Channel] = []
+    if adaptive:
+        # Record the union-graph over-approximation the subfunction
+        # search resolves.
+        union_cycle = find_cycle(
+            build_union_cdg(routing, assume_classes=assume_classes)
         )
-        return SmtReport(
-            config=config.describe(), engine=engine_used, method="refuted",
-            deadlock_free=False, conclusive=True,
-            detail=(
-                f"rank constraints unsatisfiable; witnessing cycle of "
-                f"{len(cycle) - 1} channels (deterministic routing: a "
-                "reachable circular wait)"
-            ),
-            certificate=cert,
-        )
-
-    # Adaptive: record the union-graph over-approximation, then search
-    # the subfunction family for Duato's certificate.
-    union = build_union_cdg(routing, assume_classes=assume_classes)
-    union_cycle = find_cycle(union)
+        base["union_cycle"] = _cycle_json(union_cycle)
+    union_cyclic = bool(union_cycle) if adaptive else None
+    candidates = candidate_subfunctions(routing, num_classes)
     engine_used = "native"
-    rejected_witness: list[Channel] = []
-    for sub in candidate_subfunctions(routing, num_classes):
-        if not subfunction_connected(routing, sub):
+    rejected = None  # the first connected candidate with a cyclic graph
+    for sub in candidates:
+        edges, connected = build_dependency_graph(routing, sub)
+        if not connected:
             continue
-        ext = build_extended_cdg(
-            routing, sub, assume_classes=assume_classes
-        )
-        ranks, engine_used = solve_ranks(ext, engine)
+        ranks, engine_used = solve_ranks(edges, engine)
         if ranks is None:
-            if not rejected_witness:
-                rejected_witness = find_cycle(ext)
+            rejected = rejected or (sub, edges)
             continue
-        fingerprint = graph_fingerprint(ext)
-        method = (
-            "escape" if isinstance(sub, EscapeSubfunction) else "subrelation"
-        )
+        fingerprint = graph_fingerprint(edges)
+        size = f"{fingerprint['channels']} channels / {fingerprint['deps']}"
+        if adaptive:
+            method = (
+                "escape" if sub.name == EscapeSubfunction.name
+                else "subrelation"
+            )
+            over = (
+                "; union graph cyclic (over-approximation resolved)"
+                if union_cycle else ""
+            )
+            detail = (
+                f"connected subfunction '{sub.name}' with acyclic "
+                f"extended graph ({size} deps): deadlock-free per Duato"
+                f"{over}"
+            )
+        else:
+            method = "acyclicity"
+            detail = (
+                f"rank model over {size} dependencies (deterministic "
+                "routing: exact)"
+            )
         cert = dict(
-            base, method=method, engine=engine_used,
-            deadlock_free=True, conclusive=True,
-            subfunction=sub.name, graph=fingerprint,
-            ranks=_ranks_json(ranks),
-            union_cycle=_cycle_json(union_cycle),
+            base, method=method, engine=engine_used, deadlock_free=True,
+            conclusive=True, graph=fingerprint, ranks=_ranks_json(ranks),
         )
-        over = (
-            "; union graph cyclic (over-approximation resolved)"
-            if union_cycle else ""
-        )
+        if adaptive:
+            cert["subfunction"] = sub.name
         return SmtReport(
             config=config.describe(), engine=engine_used, method=method,
-            deadlock_free=True, conclusive=True,
-            detail=(
-                f"connected subfunction '{sub.name}' with acyclic "
-                f"extended graph ({fingerprint['channels']} channels / "
-                f"{fingerprint['deps']} deps): deadlock-free per Duato"
-                f"{over}"
-            ),
-            certificate=cert, union_cyclic=bool(union_cycle),
-            subfunction=sub.name,
+            deadlock_free=True, conclusive=True, detail=detail,
+            certificate=cert, union_cyclic=union_cyclic,
+            subfunction=cert.get("subfunction"),
         )
-    witness = rejected_witness or union_cycle
-    fingerprint = graph_fingerprint(union)
+
+    # Refuted.  The witness is certified in the graph it was found in:
+    # the first connected candidate's, else the union graph's.
+    if rejected is None:
+        union_sub = UnionSubfunction(routing, num_classes)
+        rejected = (union_sub, build_dependency_graph(routing, union_sub)[0])
+    sub, edges = rejected
+    cycle = find_cycle(edges)
+    if adaptive:
+        detail = (
+            "no connected subfunction with an acyclic extended graph in "
+            f"the search family ({len(candidates)} candidates); rejection "
+            "is family-relative (Duato's condition is existential)"
+        )
+    else:
+        detail = (
+            f"rank constraints unsatisfiable; witnessing cycle of "
+            f"{len(cycle) - 1} channels (deterministic routing: a "
+            "reachable circular wait)"
+        )
     cert = dict(
-        base, method="refuted", engine=engine_used,
-        deadlock_free=False, conclusive=False, graph=fingerprint,
-        cycle=_cycle_json(witness),
-        union_cycle=_cycle_json(union_cycle),
+        base, method="refuted", engine=engine_used, deadlock_free=False,
+        conclusive=not adaptive, graph=graph_fingerprint(edges),
+        cycle=_cycle_json(cycle),
     )
+    if adaptive:
+        cert["subfunction"] = sub.name
     return SmtReport(
         config=config.describe(), engine=engine_used, method="refuted",
-        deadlock_free=False, conclusive=False,
-        detail=(
-            "no connected subfunction with an acyclic extended graph in "
-            f"the search family ({len(candidate_subfunctions(routing, num_classes))} "
-            "candidates); rejection is family-relative (Duato's condition "
-            "is existential)"
-        ),
-        certificate=cert, union_cyclic=bool(union_cycle),
+        deadlock_free=False, conclusive=not adaptive, detail=detail,
+        certificate=cert, union_cyclic=union_cyclic,
     )
 
 
@@ -720,6 +579,9 @@ def _replay_ranks(
 ) -> int:
     """Edge-by-edge strict-increase replay; returns edges checked."""
     ranks = {parse_chan_key(k): v for k, v in ranks_json.items()}
+    if any(type(rank) is not int for rank in ranks.values()):
+        errors.append("ranks must be integers")
+        return 0
     checked = 0
     for vertex in _sorted_channels(edges):
         if vertex not in ranks:
@@ -754,52 +616,57 @@ def _replay_cycle(
             return
 
 
+_METHODS = ("acyclicity", "escape", "subrelation", "refuted")
+
+
 def check_certificate(cert: dict) -> CertificateCheck:
     """Replay a certificate with plain graph walks and integer compares.
 
-    Rebuilds the analysed graph from the certified configuration (pure
-    Python, no z3), verifies the canonical hash (drift detection), then
-    replays the rank model or the cycle witness.  For adaptive proofs the
-    subfunction's connectivity and the union-cycle evidence are replayed
-    too.
+    Rebuilds the graph of the subfunction the certificate names (none
+    names the escape discipline) from the certified configuration --
+    pure Python, no z3 -- and checks the subfunction's connectivity and
+    the canonical hash (drift detection).  Then replays the rank model
+    or the cycle witness, and the union-cycle evidence when recorded.
+    Certificates are outside input: a malformed one fails the check
+    instead of raising.
     """
-    errors: list[str] = []
+    if not isinstance(cert, dict):
+        return CertificateCheck(False, ["certificate is not a JSON object"])
     if cert.get("format") != CERT_FORMAT:
         return CertificateCheck(
             False, [f"unknown certificate format {cert.get('format')!r}"]
         )
-    try:
-        config = _config_from_cert(cert)
-        topology, routing = _routing_for(config)
-    except ReproError as exc:
-        return CertificateCheck(False, [f"config rebuild failed: {exc}"])
-    assume = cert.get("assume_classes")
-    num_classes = routing.num_classes if assume is None else assume
-    method = cert.get("method")
-    adaptive = isinstance(routing, AdaptiveRouting)
-
-    if method == "acyclicity" or (method == "refuted" and not adaptive):
-        edges = build_cdg(topology, routing, assume_classes=assume)
-    elif method in ("escape", "subrelation"):
-        sub = subfunction_by_name(
-            cert.get("subfunction", ""), routing, num_classes
+    if cert.get("method") not in _METHODS:
+        return CertificateCheck(
+            False, [f"unknown method {cert.get('method')!r}"]
         )
-        if not subfunction_connected(routing, sub):
-            errors.append(
-                f"subfunction {sub.name!r} is not connected"
-            )
-        edges = build_extended_cdg(routing, sub, assume_classes=assume)
-    elif method == "refuted" and adaptive:
-        edges = build_union_cdg(routing, assume_classes=assume)
-    else:
-        return CertificateCheck(False, [f"unknown method {method!r}"])
+    try:
+        return _replay_certificate(cert)
+    except (
+        ReproError, LookupError, TypeError, ValueError, AttributeError
+    ) as exc:
+        return CertificateCheck(
+            False, [f"malformed certificate: {type(exc).__name__}: {exc}"]
+        )
 
+
+def _replay_certificate(cert: dict) -> CertificateCheck:
+    _topology, routing = _routing_for(_config_from_cert(cert))
+    assume = cert.get("assume_classes")
+    sub = subfunction_by_name(
+        cert.get("subfunction", EscapeSubfunction.name),
+        routing, class_count(routing, assume),
+    )
+    edges, connected = build_dependency_graph(routing, sub)
+    errors: list[str] = []
+    if not connected:
+        errors.append(f"subfunction {sub.name!r} is not connected")
     fingerprint = graph_fingerprint(edges)
     recorded = cert.get("graph", {})
     if recorded.get("sha256") != fingerprint["sha256"]:
         errors.append(
             "graph drift: certificate hash "
-            f"{recorded.get('sha256', '?')[:12]} != rebuilt "
+            f"{str(recorded.get('sha256', '?'))[:12]} != rebuilt "
             f"{fingerprint['sha256'][:12]}"
         )
     checked = 0
@@ -807,7 +674,7 @@ def check_certificate(cert: dict) -> CertificateCheck:
         checked = _replay_ranks(edges, cert.get("ranks", {}), errors)
     else:
         _replay_cycle(edges, cert.get("cycle", []), errors)
-    if adaptive and cert.get("union_cycle"):
+    if cert.get("union_cycle"):
         union = build_union_cdg(routing, assume_classes=assume)
         _replay_cycle(union, cert["union_cycle"], errors)
     return CertificateCheck(
@@ -815,7 +682,7 @@ def check_certificate(cert: dict) -> CertificateCheck:
         errors=errors,
         detail=(
             f"{cert['config']['topology']}/{cert['config']['routing']} "
-            f"{method}: replayed "
+            f"{cert['method']}: replayed "
             + (f"{checked} rank constraints" if cert.get("deadlock_free")
                else f"cycle of {max(len(cert.get('cycle', [])) - 1, 0)}")
             + f" over {fingerprint['channels']} channels"

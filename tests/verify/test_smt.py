@@ -15,20 +15,24 @@ import pytest
 from repro.cli import _shipped_verify_configs
 from repro.errors import ConfigError
 from repro.sim.config import NetworkConfig, WormholeConfig
-from repro.verify.cdg import analyze_config, build_cdg, config_topology
-from repro.verify.smt import (
+from repro.verify.cdg import (
     EscapeSubfunction,
-    build_extended_cdg,
+    analyze_config,
+    build_cdg,
+    build_dependency_graph,
+    config_topology,
+)
+from repro.verify.smt import (
     build_union_cdg,
     certificate_slug,
     check_certificate,
     check_certificate_files,
     dump_certificate,
+    graph_fingerprint,
     have_z3,
     load_certificate,
     rejection_jobspecs,
     solve_ranks_native,
-    subfunction_connected,
     verify_config,
 )
 from repro.wormhole.routing import AdaptiveRouting, make_routing
@@ -39,6 +43,33 @@ def _wormhole(topology, dims, routing="dor", vcs=2):
         topology=topology, dims=dims, protocol="wormhole", wave=None,
         wormhole=WormholeConfig(vcs=vcs, routing=routing),
     )
+
+
+MALFORMED = (
+    "no-config", "null-dims", "string-rank", "top-level-list",
+    "unknown-subfunction", "assume-classes-above-pinned",
+)
+
+
+def _malformed(case):
+    """A valid certificate broken in one way."""
+    config = _wormhole("mesh", (4, 4))
+    if case == "unknown-subfunction":
+        config = _wormhole("mesh", (4, 4), routing="adaptive", vcs=3)
+    cert = verify_config(config, engine="native").certificate
+    if case == "no-config":
+        del cert["config"]
+    elif case == "null-dims":
+        cert["config"]["dims"] = None
+    elif case == "string-rank":
+        cert["ranks"][next(iter(cert["ranks"]))] = "9"
+    elif case == "top-level-list":
+        return [cert]
+    elif case == "unknown-subfunction":
+        cert["subfunction"] = "bogus"
+    elif case == "assume-classes-above-pinned":
+        cert["assume_classes"] = 7
+    return cert
 
 
 def shipped_ids():
@@ -126,15 +157,16 @@ class TestOverApproximationResolved:
         assert check_certificate(smt.certificate).ok
 
     def test_extended_escape_graph_matches_analyzer(self):
-        # Coherence: build_extended_cdg with the escape subfunction must
-        # reproduce the analyzer's extended escape CDG edge for edge.
+        # Coherence: the escape subfunction's graph is the analyzer's
+        # extended escape CDG edge for edge.
         for topology, vcs in (("mesh", 3), ("torus", 3)):
             config = _wormhole(topology, (4, 4), routing="adaptive", vcs=vcs)
             topo = config_topology(config)
             routing = make_routing("adaptive", topo, vcs)
             assert isinstance(routing, AdaptiveRouting)
             sub = EscapeSubfunction(routing, routing.num_classes)
-            ours = build_extended_cdg(routing, sub)
+            ours, connected = build_dependency_graph(routing, sub)
+            assert connected
             theirs = build_cdg(topo, routing)
             assert {
                 k: set(v) for k, v in ours.items()
@@ -145,7 +177,42 @@ class TestOverApproximationResolved:
         topo = config_topology(config)
         routing = make_routing("adaptive", topo, 3)
         sub = EscapeSubfunction(routing, routing.num_classes)
-        assert subfunction_connected(routing, sub)
+        assert build_dependency_graph(routing, sub)[1]
+
+    @pytest.mark.parametrize("topology,dims,assume,channels,deps,sha", [
+        ("mesh", (4, 4), None, 96, 344,
+         "ea2cfd1d671a3308a326d94979a4bc77340c1d99b4366e076bfc88eb923ed974"),
+        ("torus", (4, 4), None, 144, 660,
+         "cdf6c901b215fcca0bd67d228e135e84c7c707207ee1455af8c15e38c379fe78"),
+        ("torus", (4,), 1, 16, 24,
+         "0fc08babf3f9c0f4584a9b8a3b4772fdd2fe640dfe082080c60ede2cd75a8b0f"),
+    ])
+    def test_union_graph_pinned(
+        self, topology, dims, assume, channels, deps, sha
+    ):
+        # No committed certificate fingerprints the union graph, so pin
+        # it here: any change to the walk or the union subfunction shows.
+        topo = config_topology(_wormhole(topology, dims, "adaptive", 3))
+        routing = make_routing("adaptive", topo, 3)
+        assert graph_fingerprint(
+            build_union_cdg(routing, assume_classes=assume)
+        ) == {"channels": channels, "deps": deps, "sha256": sha}
+
+    def test_refuted_adaptive_certificate_replays(self):
+        # A family-relative rejection certifies its witness cycle in the
+        # graph the cycle lives in (the escape graph here), so replay
+        # rebuilds that graph and finds every claimed dependency.
+        config = _wormhole("torus", (6,), routing="adaptive", vcs=3)
+        smt = verify_config(config, assume_classes=1, engine="native")
+        assert smt.method == "refuted" and not smt.conclusive
+        cert = smt.certificate
+        assert cert["subfunction"] == "escape-dor"
+        routing = make_routing("adaptive", config_topology(config), 3)
+        sub = EscapeSubfunction(routing, 1)
+        edges = build_dependency_graph(routing, sub)[0]
+        assert cert["graph"] == graph_fingerprint(edges)
+        check = check_certificate(cert)
+        assert check.ok, check.errors
 
 
 class TestCertificates:
@@ -188,6 +255,30 @@ class TestCertificates:
     def test_unknown_format_rejected(self):
         assert not check_certificate({"format": "bogus/9"}).ok
 
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_certificate_rejected(self, case):
+        # Certificates are outside input: malformed ones fail the check
+        # with an error instead of raising.
+        check = check_certificate(_malformed(case))
+        assert not check.ok
+        assert check.errors
+
+    def test_batch_goes_on_past_malformed_files(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for case in MALFORMED:
+            (tmp_path / f"{case}.json").write_text(
+                json.dumps(_malformed(case)), encoding="utf-8"
+            )
+        good = verify_config(_wormhole("mesh", (4, 4)), engine="native")
+        dump_certificate(good.certificate, tmp_path / "zz-good.json")
+        results = check_certificate_files(sorted(tmp_path.glob("*.json")))
+        assert [c.ok for _, c in results] == [False] * len(MALFORMED) + [True]
+        code = main(["verify-cdg", "--check-certificates", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert f"1/{len(MALFORMED) + 1} certificates replayed" in out
+
     def test_batch_file_check(self, tmp_path):
         good = verify_config(_wormhole("mesh", (4, 4)), engine="native")
         dump_certificate(good.certificate, tmp_path / "good.json")
@@ -221,6 +312,13 @@ class TestCertificates:
 
 
 class TestEngineSelection:
+    def test_adaptive_assume_classes_above_pinned_rejected(self):
+        # The exact backend validates the class override like the search
+        # does, instead of certifying a graph with invented classes.
+        config = _wormhole("mesh", (4, 4), routing="adaptive", vcs=3)
+        with pytest.raises(ConfigError, match="pins"):
+            verify_config(config, assume_classes=7, engine="native")
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError, match="unknown SMT engine"):
             verify_config(_wormhole("mesh", (4, 4)), engine="cvc5")
