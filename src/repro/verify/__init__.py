@@ -11,26 +11,22 @@
 * :mod:`repro.verify.invariants` -- structural invariants tying the
   distributed register state (PCS units, Circuit Caches) to the global
   circuit table; run by tests after every scenario.
-* :mod:`repro.verify.cdg` -- *static* extended channel-dependency-graph
-  analysis: proves Theorems 1-2 from topology + routing + protocol
-  config alone, no simulation.
+* :mod:`repro.verify.cdg` -- the *static* channel-dependency-graph
+  walker, resource-separation checks and runtime route replay that
+  Theorems 1-2 are proved from (topology + routing + protocol config
+  alone, no simulation).
 * :mod:`repro.verify.fuzz` -- property-based protocol fuzzing under a
   per-cycle invariant harness, with failure shrinking to minimal
   replayable JobSpecs.
-* :mod:`repro.verify.smt` -- exact SMT-style verification (z3 when
-  installed, a native rank engine always): per-channel rank proofs of
-  acyclicity, escape-channel verification and valid-subrelation search
-  for adaptive configs, machine-checkable JSON certificates replayable
-  without a solver, and fuzzer seeding for rejected configs.
+* :mod:`repro.verify.smt` -- the deadlock verifier: per-channel rank
+  proofs of acyclicity (native engine; z3 as an optional cross-check),
+  escape-channel verification and valid-subrelation search for adaptive
+  configs, the separation and runtime-replay checks, machine-checkable
+  JSON certificates replayable without a solver, and fuzzer seeding for
+  rejected configs.
 """
 
-from repro.verify.cdg import (
-    CDGReport,
-    analyze_config,
-    build_cdg,
-    find_cycle,
-    format_report,
-)
+from repro.verify.cdg import build_cdg, find_cycle
 from repro.verify.deadlock import (
     assert_no_deadlock,
     deadlocked_in_graph,
@@ -52,10 +48,10 @@ from repro.verify.fuzz import (
 from repro.verify.ordering import OrderingReport, check_in_order_delivery
 from repro.verify.smt import (
     CertificateCheck,
-    SmtReport,
+    VerifyReport,
     check_certificate,
     check_certificate_files,
-    format_smt_report,
+    format_report,
     have_z3,
     rejection_jobspecs,
     verify_config,
@@ -68,16 +64,14 @@ from repro.verify.progress import (
 from repro.verify.waitgraph import WaitGraph, build_wait_graph
 
 __all__ = [
-    "CDGReport",
     "CertificateCheck",
     "FuzzReport",
     "InvariantHarness",
     "OrderingReport",
     "ProbeWorkMonitor",
     "ProgressMonitor",
-    "SmtReport",
+    "VerifyReport",
     "WaitGraph",
-    "analyze_config",
     "assert_no_deadlock",
     "build_cdg",
     "build_wait_graph",
@@ -90,7 +84,6 @@ __all__ = [
     "find_cycle",
     "find_deadlocked_worms",
     "format_report",
-    "format_smt_report",
     "fuzz_campaign",
     "generate_spec",
     "have_z3",

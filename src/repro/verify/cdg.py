@@ -13,41 +13,37 @@ The paper's deadlock-freedom argument has two legs:
    order on meshes and hypercubes, dateline VC classes on tori, and
    Duato-style adaptive routing whose *escape* subfunction is acyclic.
 
-This module checks both legs **statically**, from topology + routing +
-protocol configuration alone, with no simulation: it walks every
-(src, dst) *endpoint* pair's route exactly as the runtime router would
-(the class/dateline discipline is queried from the routing object
-itself, so analyzer and runtime cannot drift), builds the
-channel-dependency graph over
-``(node, port, vc_class)`` vertices, and reports any cycle together with
-the offending channel chain.  For adaptive routing the *extended* CDG is
-built: escape-channel dependencies are chained across adaptive
-intermediate hops, which is exactly the indirect-dependency closure
-Duato's theorem requires to be acyclic.
-
-:func:`build_dependency_graph` is the one route walker behind every
-graph the verifier uses; a routing subfunction says which channels it
-chains (:class:`EscapeSubfunction` here, the union and subrelation
-candidates in :mod:`repro.verify.smt`).
+This module holds the pieces both legs are checked from, statically,
+from topology + routing + protocol configuration alone, with no
+simulation: :func:`build_dependency_graph` walks every (src, dst)
+*endpoint* pair's route exactly as the runtime router would (the
+class/dateline discipline is queried from the routing object itself) and
+builds the channel-dependency graph over ``(node, port, vc_class)``
+vertices; a routing subfunction says which channels it chains
+(:class:`EscapeSubfunction` here, the union and subrelation candidates
+in :mod:`repro.verify.smt`).  For adaptive routing the escape
+subfunction's graph is the *extended* CDG: escape-channel dependencies
+chained across adaptive intermediate hops, the indirect-dependency
+closure Duato's theorem requires to be acyclic.
+:func:`runtime_replay_check` replays real routes through the runtime
+router so the walk and the router cannot drift apart unnoticed, and
+:func:`find_cycle` returns a witness chain.  The verdict itself
+is :func:`repro.verify.smt.verify_config`.
 
 ``assume_classes=1`` deliberately analyses a torus while ignoring its
 dateline discipline -- the classic cyclic configuration -- which is how
-the tests (and CI) prove the analyzer actually finds cycles.
+the tests (and CI) prove the verifier actually finds cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.topology import build_topology
 from repro.topology.base import Topology
-from repro.wormhole.routing import (
-    AdaptiveRouting,
-    RoutingFunction,
-    make_routing,
-)
+from repro.wormhole.routing import AdaptiveRouting, RoutingFunction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.config import NetworkConfig
@@ -77,31 +73,6 @@ class SeparationCheck:
     name: str
     passed: bool
     detail: str
-
-
-@dataclass
-class CDGReport:
-    """Result of a static analysis run."""
-
-    topology: str
-    routing: str
-    num_classes: int
-    num_channels: int
-    num_deps: int
-    cycle: list[Channel] = field(default_factory=list)
-    checks: list[SeparationCheck] = field(default_factory=list)
-
-    @property
-    def acyclic(self) -> bool:
-        return not self.cycle
-
-    @property
-    def ok(self) -> bool:
-        return self.acyclic and all(c.passed for c in self.checks)
-
-    def cycle_chain(self, topology: Topology) -> str:
-        """Human-readable offending channel chain."""
-        return " -> ".join(ch.describe(topology) for ch in self.cycle)
 
 
 # -- graph construction --------------------------------------------------
@@ -286,7 +257,7 @@ def find_cycle(edges: Edges) -> list[Channel]:
 # -- the full protocol-level check ---------------------------------------
 
 
-def _separation_checks(config: "NetworkConfig", routing) -> list[SeparationCheck]:
+def separation_checks(config: "NetworkConfig", routing) -> list[SeparationCheck]:
     """The resource-separation leg of Theorems 1-2, from configuration."""
     checks: list[SeparationCheck] = []
     wave = config.wave
@@ -382,51 +353,3 @@ def runtime_replay_check(
 
 def config_topology(config: "NetworkConfig") -> Topology:
     return build_topology(config.topology, config.dims)
-
-
-def analyze_config(
-    config: "NetworkConfig", *, assume_classes: int | None = None
-) -> CDGReport:
-    """Run the full static check for one network configuration."""
-    topology = config_topology(config)
-    routing = make_routing(
-        config.wormhole.routing, topology, config.wormhole.vcs
-    )
-    edges = build_cdg(topology, routing, assume_classes=assume_classes)
-    checks = _separation_checks(config, routing)
-    if assume_classes is None:
-        # Replay only when the analysis models the runtime discipline
-        # verbatim; under a counterfactual class count the runtime would
-        # legitimately use channels the analysed graph omits.
-        checks.append(runtime_replay_check(topology, routing, edges))
-    report = CDGReport(
-        topology=repr(topology),
-        routing=type(routing).__name__,
-        num_classes=class_count(routing, assume_classes),
-        num_channels=len(edges),
-        num_deps=sum(len(v) for v in edges.values()),
-        cycle=find_cycle(edges),
-        checks=checks,
-    )
-    return report
-
-
-def format_report(report: CDGReport, topology: Topology) -> str:
-    """Render a report the way ``repro verify-cdg`` prints it."""
-    kind = "extended CDG" if report.routing == "AdaptiveRouting" else "CDG"
-    lines = [
-        f"{kind}: {report.topology} / {report.routing} "
-        f"({report.num_classes} VC class(es)): "
-        f"{report.num_channels} channels, {report.num_deps} dependencies",
-    ]
-    if report.acyclic:
-        lines.append("  acyclic: no channel-wait cycle exists (Theorems 1-2)")
-    else:
-        lines.append(
-            f"  CYCLE of {len(report.cycle) - 1} channels: "
-            + report.cycle_chain(topology)
-        )
-    for check in report.checks:
-        mark = "ok" if check.passed else "FAIL"
-        lines.append(f"  [{mark}] {check.name}: {check.detail}")
-    return "\n".join(lines)

@@ -1,41 +1,36 @@
 """Exact deadlock-freedom verification with machine-checkable certificates.
 
-The static analyzer (:mod:`repro.verify.cdg`) proves Theorems 1-2 by
-cycle search over a dependency graph.  For deterministic routing that is
-exact (Dally & Seitz: cyclic CDG iff a deadlock is reachable), but for
-adaptive routing any *single* graph is an approximation of Duato's
-actual condition -- a routing function is deadlock-free iff **some**
+:func:`verify_config` is the verifier behind ``repro verify-cdg``.  It
+decides Theorems 1-2 for one configuration from topology + routing +
+protocol config alone (no simulation).  For deterministic routing a
+cyclic CDG is exactly a reachable circular wait (Dally & Seitz).  For
+adaptive routing no *single* graph is exact: Duato's condition is
+existential -- a routing function is deadlock-free iff **some**
 connected routing subfunction has an acyclic extended dependency graph.
-In particular the *union* dependency graph (every channel any route may
-use, accumulated -- the method of Stramaglia, Keiren & Zantema's loop
-search) over-approximates: a config whose escape subfunction is sound is
-still flagged cyclic, and a config whose *designated* escape discipline
-fails may still be freed by a different valid subrelation that a cycle
-search cannot express.
-
-This module decides the question exactly, SMT-style, and makes every
-verdict auditable:
+The *union* dependency graph (every channel any route may use -- the
+object of Stramaglia, Keiren & Zantema's loop search) over-approximates:
+it is cyclic even for sound configs, and a config whose *designated*
+escape discipline fails may still be freed by another subrelation.
 
 * **Acyclicity via per-channel ranks.**  A graph is acyclic iff the
   constraint system ``rank(u) < rank(v)`` for every dependency ``u -> v``
-  is satisfiable over the integers.  With ``z3-solver`` installed the
-  system is discharged by z3 and the model is read back; without it a
-  native exact engine (longest-path ranks over Kahn's algorithm) decides
-  the *same* constraint system and emits the *same* certificate format.
-  Both engines are exact; z3 is the independent cross-check CI runs.
+  is satisfiable over the integers.  The native engine (longest-path
+  ranks over Kahn's algorithm) decides it with no dependency; z3, when
+  installed, decides the same system and serves the cross-check tests.
 
-* **Escape-channel verification** (Duato's sufficient condition): the
-  designated escape subfunction must be connected and its extended
-  dependency graph (escape dependencies chained across adaptive hops)
-  acyclic.  The union graph's cycle, when one exists, is recorded in the
-  certificate as evidence of the over-approximation being resolved.
+* **The proof ladder.**  Candidate subfunctions are tried in order: the
+  designated escape discipline (the plain CDG for deterministic routing,
+  the extended escape CDG for adaptive routing), then for adaptive tori
+  a ring-split dimension-order family that breaks ring ties by source
+  parity.  A connected candidate with an acyclic graph proves freedom;
+  otherwise the witness cycle refutes.  The union graph's cycle, when
+  one exists, is recorded as the over-approximation being resolved.
 
-* **Valid-subrelation search** when the designated escape discipline
-  fails: candidate subfunctions (currently the escape discipline itself
-  and a ring-split dimension-order family that breaks torus ring ties by
-  source parity) are checked exactly -- connectivity plus extended-graph
-  acyclicity.  Any hit proves deadlock freedom per Duato's theorem even
-  though every single-graph cycle search says "cyclic".
+* **Resource separation and runtime replay.**  The report carries the
+  resource-separation checks of :mod:`repro.verify.cdg` and, when the
+  analysis models the runtime discipline, a replay of real routes
+  through the runtime router against the escape graph.  A failed check
+  makes the report not ok, so a drifted walker is never certified.
 
 * **Certificates.**  Every verdict emits JSON: per-channel ranks for a
   FREE verdict or the witnessing cycle for a refutation, the subfunction
@@ -50,7 +45,7 @@ walker :func:`repro.verify.cdg.build_dependency_graph`, driven by a
 routing subfunction.
 
 * **Fuzzer seeding.**  A rejected config is converted into seeded
-  scenarios (:func:`rejection_jobspecs`) for the PR 5 fuzzer, closing
+  scenarios (:func:`rejection_jobspecs`) for :mod:`repro.verify.fuzz`, closing
   the loop between the prover and the runtime invariant harness.
 """
 
@@ -69,10 +64,13 @@ from repro.verify.cdg import (
     Channel,
     EscapeSubfunction,
     Edges,
+    SeparationCheck,
     build_dependency_graph,
     class_count,
     config_topology,
     find_cycle,
+    runtime_replay_check,
+    separation_checks,
 )
 from repro.wormhole.routing import (
     AdaptiveRouting,
@@ -202,15 +200,13 @@ def solve_ranks_z3(edges: Edges) -> dict[Channel, int] | None:
 
 
 def solve_ranks(
-    edges: Edges, engine: str
+    edges: Edges, engine: str = "native"
 ) -> tuple[dict[Channel, int] | None, str]:
     """Dispatch to an engine; returns ``(ranks_or_None, engine_used)``.
 
-    ``engine`` is ``"auto"`` (z3 when installed, else native), ``"z3"``
-    (hard requirement) or ``"native"``.
+    ``engine`` is ``"native"`` or ``"z3"`` (the cross-check; a hard
+    requirement on ``z3-solver``).
     """
-    if engine == "auto":
-        engine = "z3" if have_z3() else "native"
     if engine == "z3":
         return solve_ranks_z3(edges), f"z3-{z3_version()}"
     if engine == "native":
@@ -369,18 +365,43 @@ def subfunction_by_name(
 
 
 @dataclass
-class SmtReport:
-    """Outcome of one exact verification run."""
+class VerifyReport:
+    """Outcome of one verification run: verdict, checks and certificate."""
 
-    config: str  # human-readable config summary
+    routing: RoutingFunction
+    num_classes: int
     engine: str  # "native" or "z3-<version>"
     method: str  # acyclicity | escape | subrelation | refuted
     deadlock_free: bool
     conclusive: bool  # False only when the subrelation family is exhausted
     detail: str
     certificate: dict
-    union_cyclic: bool | None = None  # adaptive configs only
-    subfunction: str | None = None
+    subfunction: str | None = None  # the adaptive proof's subfunction
+    cycle: list[Channel] = field(default_factory=list)  # the refutation
+    union_cycle: list[Channel] = field(default_factory=list)
+    checks: list[SeparationCheck] = field(default_factory=list)
+
+    @property
+    def checks_passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
+    @property
+    def ok(self) -> bool:
+        """Deadlock-free, and every separation and replay check passed."""
+        return self.deadlock_free and self.checks_passed
+
+
+def _labels(
+    adaptive: bool, deadlock_free: bool, subfunction: str
+) -> tuple[str, bool]:
+    """The ``(method, conclusive)`` labels a verdict carries."""
+    if not deadlock_free:
+        return "refuted", not adaptive
+    if not adaptive:
+        return "acyclicity", True
+    if subfunction == EscapeSubfunction.name:
+        return "escape", True
+    return "subrelation", True
 
 
 def _routing_for(
@@ -417,8 +438,8 @@ def verify_config(
     config: "NetworkConfig",
     *,
     assume_classes: int | None = None,
-    engine: str = "auto",
-) -> SmtReport:
+    engine: str = "native",
+) -> VerifyReport:
     """Decide deadlock freedom exactly and emit a certificate.
 
     Deterministic routing: rank the (plain) CDG -- satisfiable iff
@@ -429,11 +450,14 @@ def verify_config(
     verdict is a *rejection with a caveat* (``conclusive=False``): the
     witnessing cycles are real graph cycles, but Duato's condition is
     existential so a subfunction outside the family could still exist.
+    The report also carries the resource-separation checks and, without
+    a class override, the runtime replay against the escape graph.
     """
-    _topology, routing = _routing_for(config)
+    topology, routing = _routing_for(config)
     num_classes = class_count(routing, assume_classes)
     adaptive = isinstance(routing, AdaptiveRouting)
-    base = {
+    checks = separation_checks(config, routing)
+    cert: dict = {
         "format": CERT_FORMAT,
         "config": _cert_config(config),
         "assume_classes": assume_classes,
@@ -445,62 +469,56 @@ def verify_config(
         union_cycle = find_cycle(
             build_union_cdg(routing, assume_classes=assume_classes)
         )
-        base["union_cycle"] = _cycle_json(union_cycle)
-    union_cyclic = bool(union_cycle) if adaptive else None
+        cert["union_cycle"] = _cycle_json(union_cycle)
     candidates = candidate_subfunctions(routing, num_classes)
     engine_used = "native"
-    rejected = None  # the first connected candidate with a cyclic graph
+    ranks = rejected = None  # rejected: first connected cyclic candidate
     for sub in candidates:
         edges, connected = build_dependency_graph(routing, sub)
+        if sub is candidates[0] and assume_classes is None:
+            # The escape graph models the runtime discipline verbatim
+            # only without a class override; under a counterfactual
+            # count the runtime legitimately uses channels it omits.
+            checks.append(runtime_replay_check(topology, routing, edges))
         if not connected:
             continue
         ranks, engine_used = solve_ranks(edges, engine)
-        if ranks is None:
-            rejected = rejected or (sub, edges)
-            continue
-        fingerprint = graph_fingerprint(edges)
-        size = f"{fingerprint['channels']} channels / {fingerprint['deps']}"
-        if adaptive:
-            method = (
-                "escape" if sub.name == EscapeSubfunction.name
-                else "subrelation"
+        if ranks is not None:
+            break
+        rejected = rejected or (sub, edges)
+    free = ranks is not None
+    if not free:
+        # The witness is certified in the graph it was found in: the
+        # first connected candidate's, else the union graph's.
+        if rejected is None:
+            union_sub = UnionSubfunction(routing, num_classes)
+            rejected = (
+                union_sub, build_dependency_graph(routing, union_sub)[0]
             )
-            over = (
-                "; union graph cyclic (over-approximation resolved)"
-                if union_cycle else ""
-            )
-            detail = (
-                f"connected subfunction '{sub.name}' with acyclic "
-                f"extended graph ({size} deps): deadlock-free per Duato"
-                f"{over}"
-            )
-        else:
-            method = "acyclicity"
-            detail = (
-                f"rank model over {size} dependencies (deterministic "
-                "routing: exact)"
-            )
-        cert = dict(
-            base, method=method, engine=engine_used, deadlock_free=True,
-            conclusive=True, graph=fingerprint, ranks=_ranks_json(ranks),
-        )
-        if adaptive:
-            cert["subfunction"] = sub.name
-        return SmtReport(
-            config=config.describe(), engine=engine_used, method=method,
-            deadlock_free=True, conclusive=True, detail=detail,
-            certificate=cert, union_cyclic=union_cyclic,
-            subfunction=cert.get("subfunction"),
-        )
-
-    # Refuted.  The witness is certified in the graph it was found in:
-    # the first connected candidate's, else the union graph's.
-    if rejected is None:
-        union_sub = UnionSubfunction(routing, num_classes)
-        rejected = (union_sub, build_dependency_graph(routing, union_sub)[0])
-    sub, edges = rejected
-    cycle = find_cycle(edges)
+        sub, edges = rejected
+    method, conclusive = _labels(adaptive, free, sub.name)
+    cycle = [] if free else find_cycle(edges)
+    cert.update(
+        method=method, engine=engine_used, deadlock_free=free,
+        conclusive=conclusive, graph=graph_fingerprint(edges),
+    )
+    if free:
+        cert["ranks"] = _ranks_json(ranks)
+    else:
+        cert["cycle"] = _cycle_json(cycle)
     if adaptive:
+        cert["subfunction"] = sub.name
+    if free and adaptive:
+        detail = (
+            f"connected subfunction '{sub.name}' with an acyclic extended "
+            "graph: deadlock-free per Duato"
+        )
+    elif free:
+        detail = (
+            "rank model over every dependency (deterministic routing: "
+            "exact)"
+        )
+    elif adaptive:
         detail = (
             "no connected subfunction with an acyclic extended graph in "
             f"the search family ({len(candidates)} candidates); rejection "
@@ -508,37 +526,55 @@ def verify_config(
         )
     else:
         detail = (
-            f"rank constraints unsatisfiable; witnessing cycle of "
-            f"{len(cycle) - 1} channels (deterministic routing: a "
+            "rank constraints unsatisfiable (deterministic routing: a "
             "reachable circular wait)"
         )
-    cert = dict(
-        base, method="refuted", engine=engine_used, deadlock_free=False,
-        conclusive=not adaptive, graph=graph_fingerprint(edges),
-        cycle=_cycle_json(cycle),
-    )
-    if adaptive:
-        cert["subfunction"] = sub.name
-    return SmtReport(
-        config=config.describe(), engine=engine_used, method="refuted",
-        deadlock_free=False, conclusive=not adaptive, detail=detail,
-        certificate=cert, union_cyclic=union_cyclic,
+    return VerifyReport(
+        routing=routing, num_classes=num_classes, engine=engine_used,
+        method=method, deadlock_free=free, conclusive=conclusive,
+        detail=detail, certificate=cert,
+        subfunction=sub.name if free and adaptive else None,
+        cycle=cycle, union_cycle=union_cycle, checks=checks,
     )
 
 
-def format_smt_report(report: SmtReport) -> str:
+def _chain(topology: Topology, cycle: list[Channel]) -> str:
+    return " -> ".join(ch.describe(topology) for ch in cycle)
+
+
+def format_report(report: VerifyReport) -> str:
+    """Render a report the way ``repro verify-cdg`` prints it."""
+    topology = report.routing.topology
+    graph = report.certificate["graph"]
+    sub = report.certificate.get("subfunction")
     verdict = "DEADLOCK-FREE" if report.deadlock_free else (
         "REJECTED" if report.conclusive else "REJECTED (inconclusive)"
     )
     lines = [
-        f"SMT [{report.engine}] {report.method}: {verdict}",
-        f"  {report.detail}",
+        f"{f'{sub!r} graph' if sub else 'CDG'}: {topology!r} / "
+        f"{type(report.routing).__name__} ({report.num_classes} VC "
+        f"class(es)): {graph['channels']} channels, {graph['deps']} "
+        "dependencies",
+        f"  {report.method} [{report.engine}]: {verdict} -- "
+        f"{report.detail}",
     ]
-    if report.union_cyclic:
+    if report.cycle:
         lines.append(
-            "  union dependency graph is cyclic -- a plain cycle search "
-            "over-approximates this config"
+            f"  CYCLE of {len(report.cycle) - 1} channels: "
+            + _chain(topology, report.cycle)
         )
+    if report.union_cycle:
+        resolved = (
+            " (an over-approximation the proof resolves)"
+            if report.deadlock_free else ""
+        )
+        lines.append(
+            f"  union graph cycle of {len(report.union_cycle) - 1} "
+            f"channels{resolved}: " + _chain(topology, report.union_cycle)
+        )
+    for check in report.checks:
+        mark = "ok" if check.passed else "FAIL"
+        lines.append(f"  [{mark}] {check.name}: {check.detail}")
     return "\n".join(lines)
 
 
@@ -616,9 +652,6 @@ def _replay_cycle(
             return
 
 
-_METHODS = ("acyclicity", "escape", "subrelation", "refuted")
-
-
 def check_certificate(cert: dict) -> CertificateCheck:
     """Replay a certificate with plain graph walks and integer compares.
 
@@ -627,6 +660,8 @@ def check_certificate(cert: dict) -> CertificateCheck:
     pure Python, no z3 -- and checks the subfunction's connectivity and
     the canonical hash (drift detection).  Then replays the rank model
     or the cycle witness, and the union-cycle evidence when recorded.
+    The ``method`` and ``conclusive`` labels must be the ones
+    :func:`verify_config` gives the replayed verdict.
     Certificates are outside input: a malformed one fails the check
     instead of raising.
     """
@@ -635,10 +670,6 @@ def check_certificate(cert: dict) -> CertificateCheck:
     if cert.get("format") != CERT_FORMAT:
         return CertificateCheck(
             False, [f"unknown certificate format {cert.get('format')!r}"]
-        )
-    if cert.get("method") not in _METHODS:
-        return CertificateCheck(
-            False, [f"unknown method {cert.get('method')!r}"]
         )
     try:
         return _replay_certificate(cert)
@@ -657,10 +688,24 @@ def _replay_certificate(cert: dict) -> CertificateCheck:
         cert.get("subfunction", EscapeSubfunction.name),
         routing, class_count(routing, assume),
     )
+    free = cert.get("deadlock_free")
+    if type(free) is not bool:
+        return CertificateCheck(False, ["deadlock_free must be a boolean"])
     edges, connected = build_dependency_graph(routing, sub)
     errors: list[str] = []
     if not connected:
         errors.append(f"subfunction {sub.name!r} is not connected")
+    # The labels must say what the replay proves, not merely be known.
+    method, conclusive = _labels(
+        isinstance(routing, AdaptiveRouting), free, sub.name
+    )
+    for key, want in (("method", method), ("conclusive", conclusive)):
+        got = cert.get(key)
+        if type(got) is not type(want) or got != want:
+            errors.append(
+                f"label {key}={got!r} does not match the replayed "
+                f"verdict ({want!r})"
+            )
     fingerprint = graph_fingerprint(edges)
     recorded = cert.get("graph", {})
     if recorded.get("sha256") != fingerprint["sha256"]:
@@ -670,7 +715,7 @@ def _replay_certificate(cert: dict) -> CertificateCheck:
             f"{fingerprint['sha256'][:12]}"
         )
     checked = 0
-    if cert.get("deadlock_free"):
+    if free:
         checked = _replay_ranks(edges, cert.get("ranks", {}), errors)
     else:
         _replay_cycle(edges, cert.get("cycle", []), errors)
@@ -683,7 +728,7 @@ def _replay_certificate(cert: dict) -> CertificateCheck:
         detail=(
             f"{cert['config']['topology']}/{cert['config']['routing']} "
             f"{cert['method']}: replayed "
-            + (f"{checked} rank constraints" if cert.get("deadlock_free")
+            + (f"{checked} rank constraints" if free
                else f"cycle of {max(len(cert.get('cycle', [])) - 1, 0)}")
             + f" over {fingerprint['channels']} channels"
         ),
@@ -720,7 +765,7 @@ def load_certificate(path) -> dict:
 
 
 def check_certificate_files(paths: Iterable) -> list[tuple[Path, CertificateCheck]]:
-    """Replay a batch of certificate files (CI's smt-check job)."""
+    """Replay a batch of certificate files (``--check-certificates``)."""
     results = []
     for path in sorted(Path(p) for p in paths):
         try:

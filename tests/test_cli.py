@@ -331,7 +331,8 @@ class TestVerifyCdg:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "acyclic" in out
+        assert "acyclicity [native]: DEADLOCK-FREE" in out
+        assert "[ok] runtime_replay" in out
         assert "1/1 configurations deadlock-free" in out
 
     def test_all_shipped_configs_pass(self, capsys):
@@ -339,6 +340,7 @@ class TestVerifyCdg:
         assert code == 0
         out = capsys.readouterr().out
         assert "11/11 configurations deadlock-free" in out
+        assert out.count("[native]: DEADLOCK-FREE") == 11
 
     def test_cyclic_config_flagged(self, capsys):
         code = main([
@@ -366,44 +368,65 @@ class TestVerifyCdg:
         assert code == 1
         assert "0/11" in capsys.readouterr().out
 
-    def test_smt_backend_all_shipped(self, capsys):
-        code = main(["verify-cdg", "--all", "--backend", "smt"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "11/11 configurations deadlock-free" in out
-        assert "SMT [" in out
-
-    def test_both_backends_resolve_over_approximation(self, capsys):
-        # Dateline-free 4-ring with adaptive routing: search refutes,
-        # the subrelation proof certifies free -- the audit must report
-        # the resolution and exit 0, not raise a false alarm.
+    def test_subrelation_resolves_over_approximation(self, capsys):
+        # Dateline-free 4-ring with adaptive routing: the union graph is
+        # cyclic, the ring-split subrelation proof certifies free -- the
+        # report names both and exits 0, not a false alarm.
         code = main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "torus", "--dims", "4",
             "--routing", "adaptive", "--vcs", "3",
-            "--assume-classes", "1", "--backend", "both",
+            "--assume-classes", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
+        assert "subrelation [native]: DEADLOCK-FREE" in out
+        assert "'ring-split-dor'" in out
+        assert "union graph cycle of 4 channels" in out
         assert "over-approximat" in out
         assert "1/1 configurations deadlock-free" in out
 
-    def test_smt_backend_expect_cyclic(self, capsys):
+    @pytest.mark.parametrize("flag", [
+        ["--backend", "smt"], ["--backend", "active"],
+        ["--engine", "native"],
+    ])
+    def test_decider_options_are_gone(self, flag, capsys):
+        # One verifier: no backend or engine to choose.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-cdg", "--dims", "4x4", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_drift_fails_the_certifying_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A failed runtime replay (walker and router drifted) must turn
+        # the certifying run red and withhold the certificate.
+        from repro.verify import smt
+        from repro.verify.cdg import SeparationCheck
+
+        monkeypatch.setattr(
+            smt, "runtime_replay_check",
+            lambda *a: SeparationCheck("runtime_replay", False, "drifted"),
+        )
+        certs = tmp_path / "certs"
         code = main([
             "verify-cdg", "--protocol", "wormhole",
-            "--topology", "torus", "--dims", "4x4",
-            "--assume-classes", "1", "--backend", "smt",
-            "--expect-cyclic",
+            "--topology", "mesh", "--dims", "4x4",
+            "--emit-certificates", str(certs),
         ])
-        assert code == 0
-        assert "cyclic as expected" in capsys.readouterr().out
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] runtime_replay: drifted" in out
+        assert "0/1 configurations deadlock-free" in out
+        assert not certs.exists() or not list(certs.glob("*.json"))
 
     def test_emit_and_check_certificates(self, tmp_path, capsys):
         certs = tmp_path / "certs"
         code = main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "mesh", "--dims", "4x4",
-            "--backend", "smt", "--emit-certificates", str(certs),
+            "--emit-certificates", str(certs),
         ])
         assert code == 0
         files = list(certs.glob("*.json"))
@@ -418,7 +441,7 @@ class TestVerifyCdg:
         main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "mesh", "--dims", "4x4",
-            "--backend", "smt", "--emit-certificates", str(certs),
+            "--emit-certificates", str(certs),
         ])
         path = next(certs.glob("*.json"))
         cert = json.loads(path.read_text(encoding="utf-8"))
@@ -452,7 +475,7 @@ class TestVerifyCdg:
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "torus", "--dims", "4x4",
             "--assume-classes", "1",
-            "--backend", "smt", "--seed-fuzzer", str(seeds),
+            "--seed-fuzzer", str(seeds),
         ])
         assert code == 1
         assert "not seeding" in capsys.readouterr().out
@@ -466,18 +489,6 @@ class TestVerifyCdg:
         ])
         assert code == 2
         assert "pins" in capsys.readouterr().err
-
-    def test_smt_without_z3_prints_fallback_note(self, capsys):
-        from repro.verify.smt import have_z3
-
-        if have_z3():
-            pytest.skip("z3 installed; fallback note not expected")
-        code = main([
-            "verify-cdg", "--protocol", "wormhole",
-            "--topology", "mesh", "--dims", "4x4", "--backend", "smt",
-        ])
-        assert code == 0
-        assert "native exact" in capsys.readouterr().out
 
 
 class TestFuzzCommand:

@@ -1,17 +1,11 @@
-"""Tests for the static channel-dependency-graph analyzer."""
+"""Tests for the static channel-dependency-graph walker and checks."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.sim.config import NetworkConfig, WormholeConfig
-from repro.verify.cdg import (
-    Channel,
-    analyze_config,
-    build_cdg,
-    config_topology,
-    find_cycle,
-    format_report,
-)
+from repro.verify.cdg import Channel, build_cdg, config_topology, find_cycle
+from repro.verify.smt import format_report, verify_config
 
 
 def shipped_configs():
@@ -40,21 +34,21 @@ class TestShippedConfigsAcyclic:
         "config", shipped_configs(),
         ids=lambda c: f"{c.topology}-{c.protocol}-{c.wormhole.routing}",
     )
-    def test_analyzer_proves_theorems_1_2(self, config):
-        report = analyze_config(config)
-        assert report.acyclic, report.cycle_chain(config_topology(config))
+    def test_verifier_proves_theorems_1_2(self, config):
+        report = verify_config(config)
+        assert report.deadlock_free, format_report(report)
         assert report.ok
-        assert report.num_channels > 0
+        assert report.certificate["graph"]["channels"] > 0
         if config.topology != "fullmesh":
-            assert report.num_deps > 0
+            assert report.certificate["graph"]["deps"] > 0
 
 
 class TestCyclicConfigFlagged:
     def test_torus_without_datelines_has_ring_cycle(self):
         config = NetworkConfig(topology="torus", dims=(4, 4),
                                protocol="wormhole", wave=None)
-        report = analyze_config(config, assume_classes=1)
-        assert not report.acyclic
+        report = verify_config(config, assume_classes=1)
+        assert not report.deadlock_free
         assert not report.ok
         # The chain closes: last channel repeats the first.
         assert report.cycle[0] == report.cycle[-1]
@@ -64,19 +58,19 @@ class TestCyclicConfigFlagged:
         assert len(dims) == 1
         assert {ch.vc_class for ch in report.cycle} == {0}
         # The offending chain is printable.
-        assert "-->" in report.cycle_chain(topo)
-        assert "CYCLE" in format_report(report, topo)
+        assert "-->" in format_report(report)
+        assert "CYCLE of 4 channels" in format_report(report)
 
     def test_mesh_stays_acyclic_even_with_one_class(self):
         """Dally & Seitz: mesh DOR needs no VC classes at all."""
         config = NetworkConfig(dims=(4, 4), protocol="wormhole", wave=None)
-        report = analyze_config(config, assume_classes=1)
-        assert report.acyclic
+        report = verify_config(config, assume_classes=1)
+        assert report.deadlock_free
 
     def test_bad_assume_classes_rejected(self):
         config = NetworkConfig(dims=(4, 4), protocol="wormhole", wave=None)
         with pytest.raises(ConfigError):
-            analyze_config(config, assume_classes=0)
+            verify_config(config, assume_classes=0)
 
     def test_assume_classes_above_pinned_rejected_fullmesh(self):
         """Fullmesh pins a single VC class; pretending it has dateline
@@ -86,22 +80,22 @@ class TestCyclicConfigFlagged:
                                protocol="wormhole", wave=None,
                                wormhole=WormholeConfig(vcs=2))
         with pytest.raises(ConfigError, match="pins"):
-            analyze_config(config, assume_classes=2)
+            verify_config(config, assume_classes=2)
 
     def test_assume_classes_above_pinned_rejected_min(self):
         config = NetworkConfig(topology="min", dims=(2, 2, 2),
                                protocol="wormhole", wave=None,
                                wormhole=WormholeConfig(vcs=2))
         with pytest.raises(ConfigError, match="pins"):
-            analyze_config(config, assume_classes=2)
+            verify_config(config, assume_classes=2)
 
     def test_reducing_classes_still_allowed(self):
         """The meaningful direction -- ignoring torus datelines to show
         the ring cycle -- must keep working."""
         config = NetworkConfig(topology="torus", dims=(4, 4),
                                protocol="wormhole", wave=None)
-        report = analyze_config(config, assume_classes=1)
-        assert not report.acyclic
+        report = verify_config(config, assume_classes=1)
+        assert not report.deadlock_free
 
 
 class TestNewTopologies:
@@ -111,10 +105,10 @@ class TestNewTopologies:
         config = NetworkConfig(topology="fullmesh", dims=(8,),
                                protocol="wormhole", wave=None,
                                wormhole=WormholeConfig(vcs=1))
-        report = analyze_config(config)
-        assert report.acyclic and report.ok
-        assert report.num_channels == 8 * 7
-        assert report.num_deps == 0
+        report = verify_config(config)
+        assert report.deadlock_free and report.ok
+        assert report.certificate["graph"]["channels"] == 8 * 7
+        assert report.certificate["graph"]["deps"] == 0
 
     def test_min_single_vc_acyclic(self):
         """Butterfly routes only move forward through the stages, so the
@@ -123,9 +117,9 @@ class TestNewTopologies:
         config = NetworkConfig(topology="min", dims=(2, 2, 2),
                                protocol="wormhole", wave=None,
                                wormhole=WormholeConfig(vcs=1))
-        report = analyze_config(config)
-        assert report.acyclic and report.ok
-        assert report.num_deps > 0
+        report = verify_config(config)
+        assert report.deadlock_free and report.ok
+        assert report.certificate["graph"]["deps"] > 0
 
     def test_min_cdg_only_covers_terminal_pairs(self):
         """Switch nodes never source worms; no CDG channel leaves a
@@ -188,11 +182,11 @@ class TestGraphMatchesRuntime:
             assert outs <= ext_edges.get(ch, set()), ch
 
     def test_runtime_replay_check_runs_on_shipped_configs(self):
-        """analyze_config now replays every runtime route against the
-        analysed graph; the check must be present and passing whenever
-        the analysis models the real discipline (assume_classes=None)."""
+        """verify_config replays every runtime route against the escape
+        graph; the check must be present and passing whenever the
+        analysis models the real discipline (assume_classes=None)."""
         for config in shipped_configs():
-            report = analyze_config(config)
+            report = verify_config(config)
             replay = [c for c in report.checks if c.name == "runtime_replay"]
             assert len(replay) == 1, config.describe()
             assert replay[0].passed, replay[0].detail
@@ -202,10 +196,47 @@ class TestGraphMatchesRuntime:
         channels the analysed graph omits -- replay must not run."""
         config = NetworkConfig(topology="torus", dims=(4, 4),
                                protocol="wormhole", wave=None)
-        report = analyze_config(config, assume_classes=1)
+        report = verify_config(config, assume_classes=1)
         assert not any(
             c.name == "runtime_replay" for c in report.checks
         )
+
+    def test_failed_replay_makes_report_not_ok(self, monkeypatch):
+        """A drifted walker must not be certified: a failed replay check
+        turns a deadlock-free verdict into a report that is not ok."""
+        from repro.verify import smt
+        from repro.verify.cdg import SeparationCheck
+
+        monkeypatch.setattr(
+            smt, "runtime_replay_check",
+            lambda *a: SeparationCheck("runtime_replay", False, "drifted"),
+        )
+        report = verify_config(shipped_configs()[0])
+        assert report.deadlock_free and not report.ok
+        assert "[FAIL] runtime_replay: drifted" in format_report(report)
+
+    def test_replay_reuses_the_escape_graph(self, monkeypatch):
+        """The replay checks the escape candidate's graph, built once."""
+        from repro.verify import smt
+        from repro.wormhole.routing import make_routing
+
+        built, replayed = [], []
+        walk = smt.build_dependency_graph
+        monkeypatch.setattr(
+            smt, "build_dependency_graph",
+            lambda routing, sub: built.append(sub) or walk(routing, sub),
+        )
+        check = smt.runtime_replay_check
+        monkeypatch.setattr(
+            smt, "runtime_replay_check",
+            lambda topo, routing, edges: replayed.append(edges)
+            or check(topo, routing, edges),
+        )
+        config = NetworkConfig(dims=(4, 4), protocol="wormhole", wave=None)
+        verify_config(config)
+        assert [sub.name for sub in built] == ["escape-dor"]
+        topo = config_topology(config)
+        assert replayed == [build_cdg(topo, make_routing("dor", topo, 2))]
 
     def test_runtime_replay_flags_drifted_graph(self):
         """Drop one edge-set entry from the graph and the replay check

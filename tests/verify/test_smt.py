@@ -1,14 +1,17 @@
-"""Tests for the exact SMT-style verifier and its certificates.
+"""Tests for the exact deadlock verifier and its certificates.
 
-Covers the agreement property between the cycle-search analyzer and the
-exact prover on every shipped config, the union-graph over-approximation
-being resolved for adaptive configs, certificate round-trip and tamper
-rejection, solver-free replay, and the z3 engine when installed (skipped
-cleanly otherwise: the native engine decides the same constraints).
+Covers the verdict on every shipped config, the cross-check between two
+independent acyclicity deciders (cycle search and the native rank
+engine) on every graph the verifier builds, the union-graph
+over-approximation being resolved for adaptive configs, certificate
+round-trip, tamper and label rejection, solver-free replay, and the z3
+engine when installed (skipped cleanly otherwise: the native engine
+decides the same constraints).
 """
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +20,16 @@ from repro.errors import ConfigError
 from repro.sim.config import NetworkConfig, WormholeConfig
 from repro.verify.cdg import (
     EscapeSubfunction,
-    analyze_config,
     build_cdg,
     build_dependency_graph,
+    class_count,
     config_topology,
+    find_cycle,
 )
 from repro.verify.smt import (
+    UnionSubfunction,
     build_union_cdg,
+    candidate_subfunctions,
     certificate_slug,
     check_certificate,
     check_certificate_files,
@@ -76,21 +82,47 @@ def shipped_ids():
     return [c.describe() for c in _shipped_verify_configs()]
 
 
-class TestBackendsAgreeOnShipped:
-    """Satellite: cycle search and SMT agree on all 11 shipped configs."""
+CERT_DIR = Path(__file__).parent.parent / "corpus" / "certificates"
+
+# Beyond the shipped configs: one conclusive and one family-relative
+# refutation, so the cross-check also sees cyclic candidate graphs.
+CROSS_CHECK = [(config, None) for config in _shipped_verify_configs()] + [
+    (_wormhole("torus", (4, 4)), 1),
+    (_wormhole("torus", (6,), routing="adaptive", vcs=3), 1),
+]
+
+
+class TestShippedVerdicts:
+    """Every shipped config is proved free, with a replayable certificate."""
 
     @pytest.mark.parametrize(
         "config", _shipped_verify_configs(), ids=shipped_ids()
     )
-    def test_native_agrees_with_search(self, config):
-        search = analyze_config(config)
-        smt = verify_config(config, engine="native")
-        # Shipped configs are all deadlock-free; the exact prover may
-        # only strengthen a search verdict (resolve over-approximation),
-        # never weaken it.
-        assert search.ok
-        assert smt.deadlock_free and smt.conclusive
-        assert check_certificate(smt.certificate).ok
+    def test_native_proves_shipped(self, config):
+        report = verify_config(config)
+        assert report.deadlock_free and report.conclusive and report.ok
+        assert report.engine == "native"
+        assert check_certificate(report.certificate).ok
+
+    @pytest.mark.parametrize(
+        "config,assume", CROSS_CHECK,
+        ids=[f"{c.describe()}-assume{a}" for c, a in CROSS_CHECK],
+    )
+    def test_cycle_search_agrees_with_rank_engine(self, config, assume):
+        # Two independent acyclicity deciders over every graph the
+        # verifier builds: the DFS cycle search and the Kahn rank engine.
+        routing = make_routing(
+            config.wormhole.routing, config_topology(config),
+            config.wormhole.vcs,
+        )
+        num_classes = class_count(routing, assume)
+        subs = candidate_subfunctions(routing, num_classes)
+        subs.append(UnionSubfunction(routing, num_classes))
+        for sub in subs:
+            edges = build_dependency_graph(routing, sub)[0]
+            assert (find_cycle(edges) == []) == (
+                solve_ranks_native(edges) is not None
+            ), sub.name
 
     @pytest.mark.parametrize(
         "config", _shipped_verify_configs(), ids=shipped_ids()
@@ -107,11 +139,10 @@ class TestBackendsAgreeOnShipped:
 
     def test_negative_case_dateline_free_torus(self):
         # The documented negative: torus DOR without dateline classes is
-        # cyclic -- both backends must refute it, conclusively.
+        # cyclic -- the verifier must refute it, conclusively.
         config = _wormhole("torus", (4, 4))
-        search = analyze_config(config, assume_classes=1)
-        smt = verify_config(config, assume_classes=1, engine="native")
-        assert not search.acyclic
+        smt = verify_config(config, assume_classes=1)
+        assert smt.cycle and smt.cycle[0] == smt.cycle[-1]
         assert not smt.deadlock_free and smt.conclusive
         assert smt.method == "refuted"
         assert check_certificate(smt.certificate).ok
@@ -137,19 +168,22 @@ class TestOverApproximationResolved:
             assert solve_ranks_native(union) is None, topology
             # ...yet the escape-subfunction proof certifies freedom.
             smt = verify_config(config, engine="native")
-            assert smt.deadlock_free and smt.union_cyclic
+            assert smt.deadlock_free and smt.union_cycle
             assert smt.method == "escape"
 
     def test_ring_split_subrelation_beats_escape_search(self):
-        # Dateline-free 4-ring with adaptive routing: the analyzer's own
-        # extended escape-channel search finds a cycle (the DOR escape
-        # chains plus links around the ring), but the ring-split
-        # subfunction is connected with an acyclic extended graph, so
-        # Duato's theorem proves the config deadlock-free -- the genuine
-        # "search cyclic, SMT free" disagreement the audit must resolve.
+        # Dateline-free 4-ring with adaptive routing: the extended
+        # escape graph has a cycle (the DOR escape chains plus links
+        # around the ring), but the ring-split subfunction is connected
+        # with an acyclic extended graph, so Duato's theorem proves the
+        # config deadlock-free -- the genuine case a single-graph cycle
+        # search gets wrong.
         config = _wormhole("torus", (4,), routing="adaptive", vcs=3)
-        search = analyze_config(config, assume_classes=1)
-        assert not search.acyclic
+        topo = config_topology(config)
+        escape = build_cdg(
+            topo, make_routing("adaptive", topo, 3), assume_classes=1
+        )
+        assert find_cycle(escape)
         smt = verify_config(config, assume_classes=1, engine="native")
         assert smt.deadlock_free and smt.conclusive
         assert smt.method == "subrelation"
@@ -252,6 +286,42 @@ class TestCertificates:
         check = check_certificate(cert)
         assert not check.ok
 
+    @pytest.mark.parametrize("name,labels", [
+        ("mesh-4x4-wormhole-dor-vcs2", {"method": "refuted"}),
+        ("torus-4x4-wormhole-adaptive-vcs3",
+         {"method": "subrelation", "conclusive": False}),
+        ("torus-4x4-wormhole-dor-vcs2", {"conclusive": False}),
+        ("mesh-4x4-wormhole-adaptive-vcs3", {"conclusive": 1}),
+    ])
+    def test_relabelled_certificate_rejected(self, name, labels):
+        # The labels must match what the replay proves: same ranks, same
+        # graph, a wrong method or conclusive flag fails the check.
+        cert = load_certificate(CERT_DIR / f"{name}.json")
+        assert check_certificate(cert).ok
+        cert.update(labels)
+        check = check_certificate(cert)
+        assert not check.ok
+        assert any("does not match the replayed verdict" in e
+                   for e in check.errors), check.errors
+
+    def test_refuted_labels_checked_too(self):
+        # A conclusive label on a family-relative adaptive refutation
+        # claims more than the replay shows.
+        cert = verify_config(
+            _wormhole("torus", (6,), routing="adaptive", vcs=3),
+            assume_classes=1,
+        ).certificate
+        assert check_certificate(cert).ok
+        check = check_certificate(dict(cert, conclusive=True))
+        assert not check.ok
+
+    @pytest.mark.parametrize("value", ["true", 1, None])
+    def test_non_boolean_verdict_rejected(self, value):
+        cert = load_certificate(CERT_DIR / "mesh-4x4-wormhole-dor-vcs2.json")
+        check = check_certificate(dict(cert, deadlock_free=value))
+        assert not check.ok
+        assert check.errors == ["deadlock_free must be a boolean"]
+
     def test_unknown_format_rejected(self):
         assert not check_certificate({"format": "bogus/9"}).ok
 
@@ -294,10 +364,7 @@ class TestCertificates:
     def test_committed_certificates_replay(self):
         # The repo ships one certificate per shipped config; all must
         # replay clean against the current code, without a solver.
-        from pathlib import Path
-
-        cert_dir = Path(__file__).parent.parent / "corpus" / "certificates"
-        paths = sorted(cert_dir.glob("*.json"))
+        paths = sorted(CERT_DIR.glob("*.json"))
         assert len(paths) >= 11, "missing committed certificates"
         for path, check in check_certificate_files(paths):
             assert check.ok, (path.name, check.errors)
@@ -328,10 +395,12 @@ class TestEngineSelection:
         with pytest.raises(ConfigError, match="z3-solver is not installed"):
             verify_config(_wormhole("mesh", (4, 4)), engine="z3")
 
-    @pytest.mark.skipif(have_z3(), reason="only meaningful without z3")
-    def test_auto_engine_falls_back_to_native(self):
-        smt = verify_config(_wormhole("mesh", (4, 4)), engine="auto")
+    def test_default_engine_is_native(self):
+        # Certificates must not depend on whether z3 happens to be
+        # installed: the default engine is the native one either way.
+        smt = verify_config(_wormhole("mesh", (4, 4)))
         assert smt.engine == "native"
+        assert smt.certificate["engine"] == "native"
         assert smt.deadlock_free
 
 
